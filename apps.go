@@ -12,8 +12,8 @@ import (
 
 // ErrNoGatewayPaths is returned by NewRouter and NewBroadcastPlan when
 // the Result does not carry the gateway paths they need — a
-// hand-assembled Result, or one from a legacy build that predates
-// path-carrying Results. Engine.Build results are always self-contained.
+// hand-assembled Result, or a lossy Distributed one (see WithLoss).
+// Every other Engine.Build result is self-contained.
 var ErrNoGatewayPaths = errors.New("khop: Result carries no GatewayPaths; build it with Engine.Build")
 
 // BroadcastStats summarizes one simulated broadcast.

@@ -8,7 +8,7 @@ func builtResult(t testing.TB, n, k int, seed int64) (*Graph, *Result) {
 	t.Helper()
 	net := testNetwork(t, n, 7, seed)
 	g := net.Graph()
-	res, err := Build(g, Options{K: k, Algorithm: ACLMST})
+	res, err := engineBuild(g, WithK(k), WithAlgorithm(ACLMST))
 	if err != nil {
 		t.Fatal(err)
 	}

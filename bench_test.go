@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/broadcast"
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/energy"
 	"repro/internal/gateway"
 	"repro/internal/maxmin"
@@ -507,7 +508,7 @@ func BenchmarkPublicBuild(b *testing.B) {
 	g := net.Graph()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Build(g, Options{K: 2, Algorithm: ACLMST}); err != nil {
+		if _, err := engineBuild(g, WithK(2), WithAlgorithm(ACLMST)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -553,8 +554,8 @@ func BenchmarkBuildParallel(b *testing.B) {
 // BenchmarkEngineReuse quantifies the unified engine's buffer pooling:
 // the same N=150, k=2, AC-LMST build repeated through one reused Engine
 // (warm sync.Pool of per-build scratch) versus the per-call baseline
-// that stands up fresh state — a throwaway Engine and cold buffers, the
-// legacy Build wrapper's path — every iteration. Compare allocs/op.
+// that stands up fresh state — a throwaway Engine and cold buffers —
+// every iteration. Compare allocs/op.
 func BenchmarkEngineReuse(b *testing.B) {
 	net, err := RandomNetwork(NetworkConfig{N: 150, AvgDegree: 6, Seed: 5})
 	if err != nil {
@@ -582,7 +583,7 @@ func BenchmarkEngineReuse(b *testing.B) {
 	b.Run("fresh-per-call", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := Build(g, Options{K: 2, Algorithm: ACLMST}); err != nil {
+			if _, err := engineBuild(g, WithK(2), WithAlgorithm(ACLMST)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -592,8 +593,10 @@ func BenchmarkEngineReuse(b *testing.B) {
 // BenchmarkBuildBatched isolates the CSR + multi-source batched BFS
 // fast path against the scalar per-source baseline it replaced, at the
 // same grid-indexed production-scale workload BenchmarkBuildParallel
-// uses, both serial (workers=1) so the delta is batching alone. Both
-// gateway algorithms are measured: AC-LMST builds spend their BFS
+// uses, both serial so the delta is batching alone. The scalar leg is
+// the pipeline's internal oracle (core.Options.ScalarBFS), which Engine
+// does not expose; both legs reuse one warm Scratch, as an Engine does.
+// Both gateway algorithms are measured: AC-LMST builds spend their BFS
 // budget on the radius-bounded cluster/NC walks, where batching is
 // capped near parity by the level-overlap ratio, while G-MST adds the
 // unbounded head-to-head distance pass that batching cuts by well over
@@ -615,16 +618,13 @@ func BenchmarkBuildBatched(b *testing.B) {
 					name = "batched"
 				}
 				b.Run(fmt.Sprintf("N=%dk/%s/%s", n/1000, alg, name), func(b *testing.B) {
-					e, err := NewEngine(g, WithK(2), WithAlgorithm(alg), WithBatchedBFS(batched))
-					if err != nil {
-						b.Fatal(err)
-					}
-					if _, err := e.Build(ctx); err != nil { // warm the scratch pools
+					opt := core.Options{K: 2, Algorithm: alg, Scratch: core.NewScratch(), ScalarBFS: !batched}
+					if _, err := core.BuildCtx(ctx, g.g, opt); err != nil { // warm the scratch
 						b.Fatal(err)
 					}
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						if _, err := e.Build(ctx); err != nil {
+						if _, err := core.BuildCtx(ctx, g.g, opt); err != nil {
 							b.Fatal(err)
 						}
 					}

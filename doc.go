@@ -78,9 +78,9 @@
 // over HTTP (build, churn, route, broadcast, snapshot) and persists
 // them across restarts; cmd/khopsim -snapshot emits the same format.
 //
-// The previous entry points — Build, BuildDistributed, BuildMaxMin, and
-// NewMaintainer — remain as deprecated wrappers over the Engine and
-// produce identical results.
+// Engine is the only entry point: the pre-Engine wrapper functions are
+// gone (README.md maps each removed name onto its Engine replacement),
+// and every build runs on the batched-BFS path.
 //
 // The runnable Example functions in this package's test files show
 // tested usage of Engine.Build, Engine.Apply, VerifyResult, and

@@ -63,7 +63,6 @@ type engineConfig struct {
 	seed        int64
 	loss        float64
 	parallel    int
-	scalarBFS   bool
 }
 
 func defaultConfig() engineConfig {
@@ -124,18 +123,6 @@ func WithSeed(seed int64) Option { return func(c *engineConfig) { c.seed = seed 
 // goroutine per node; n applies to the centralized gateway-path
 // materialization pass.
 func WithParallel(n int) Option { return func(c *engineConfig) { c.parallel = n } }
-
-// WithBatchedBFS toggles the CSR + multi-source batched BFS fast path
-// (default true). A build snapshots the graph into a flat CSR adjacency
-// once and runs the per-head and per-pair traversal fan-outs — election
-// offer walks, neighbor clusterhead selection, gateway distance and
-// path passes, Max-Min floods — as word-parallel multi-source sweeps, 64
-// sources per frontier pass. The Result is bitwise identical with the
-// path on or off (the differential tests pin this); disabling it exists
-// for those tests and for benchmarking the scalar baseline.
-func WithBatchedBFS(enabled bool) Option {
-	return func(c *engineConfig) { c.scalarBFS = !enabled }
-}
 
 // WithLoss injects per-delivery message loss with the given probability
 // into Distributed builds (default 0, the paper's ideal MAC). With loss
@@ -283,7 +270,6 @@ func (e *Engine) Build(ctx context.Context, overrides ...Option) (*Result, error
 			Affiliation: cfg.affiliation,
 			Scratch:     s,
 			Pool:        pool,
-			ScalarBFS:   cfg.scalarBFS,
 		})
 	case Distributed:
 		out, cost, err = e.buildDistributed(ctx, cfg, s, pool)
@@ -294,7 +280,7 @@ func (e *Engine) Build(ctx context.Context, overrides ...Option) (*Result, error
 		return nil, err
 	}
 
-	res := assemble(out.Clustering, out.Selection, out.Gateway, Options{K: cfg.k, Algorithm: cfg.algorithm})
+	res := assemble(out.Clustering, out.Selection, out.Gateway, cfg.k, cfg.algorithm)
 	res.IndependentHeads = cfg.mode != MaxMin
 	res.Cost = cost
 
@@ -340,11 +326,7 @@ func (e *Engine) buildDistributed(ctx context.Context, cfg engineConfig, s *core
 		CDS:       pres.CDS,
 	}
 	if cfg.loss == 0 {
-		var fg *graph.FlatGraph
-		if !cfg.scalarBFS {
-			fg = graph.Flatten(e.g.g)
-		}
-		central, err := gateway.RunSelectedPar(ctx, e.g.g, fg, pres.Clustering, pres.Selection, cfg.algorithm, s.BFS(), pool)
+		central, err := gateway.RunSelectedPar(ctx, e.g.g, graph.Flatten(e.g.g), pres.Clustering, pres.Selection, cfg.algorithm, s.BFS(), pool)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -369,10 +351,7 @@ func (e *Engine) buildDistributed(ctx context.Context, cfg engineConfig, s *core
 }
 
 func (e *Engine) buildMaxMin(ctx context.Context, cfg engineConfig, s *core.Scratch, pool *partition.Pool) (*core.Output, error) {
-	var fg *graph.FlatGraph
-	if !cfg.scalarBFS {
-		fg = graph.Flatten(e.g.g)
-	}
+	fg := graph.Flatten(e.g.g)
 	c, err := maxmin.RunPar(ctx, e.g.g, fg, cfg.k, s.BFS(), pool)
 	if err != nil {
 		return nil, err
@@ -639,7 +618,7 @@ func (e *Engine) refreshFromMaintainer(ctx context.Context, edgesAdded bool) err
 		e.curSel = sel
 		e.curGres = e.maint.Res
 	}
-	res := assemble(e.maint.C, e.curSel, e.maint.Res, Options{K: e.built.cfg.k, Algorithm: e.built.cfg.algorithm})
+	res := assemble(e.maint.C, e.curSel, e.maint.Res, e.built.cfg.k, e.built.cfg.algorithm)
 	res.IndependentHeads = (e.cur == nil || e.cur.IndependentHeads) && !edgesAdded
 	e.cur = res
 	return nil

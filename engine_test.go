@@ -11,35 +11,22 @@ import (
 	"repro/internal/mobility"
 )
 
-// sameStructure fails the test when two results differ in any structural
-// field (gateway paths excluded: legacy distributed results never had
-// them, engine results always do).
-func sameStructure(t *testing.T, label string, got, want *Result) {
-	t.Helper()
-	if !reflect.DeepEqual(got.Heads, want.Heads) ||
-		!reflect.DeepEqual(got.HeadOf, want.HeadOf) ||
-		!reflect.DeepEqual(got.DistToHead, want.DistToHead) ||
-		!reflect.DeepEqual(got.Gateways, want.Gateways) ||
-		!reflect.DeepEqual(got.CDS, want.CDS) ||
-		got.IndependentHeads != want.IndependentHeads {
-		t.Fatalf("%s: engine result differs from legacy result", label)
-	}
-}
-
-// TestEngineMatchesLegacy is the equivalence table of the acceptance
-// criteria: all 5 algorithms × K ∈ {1,2,3} × all three modes through
-// Engine.Build match the legacy entry points and pass Verify.
-func TestEngineMatchesLegacy(t *testing.T) {
+// TestEngineModesMatrix is the build table of the acceptance criteria:
+// all 5 algorithms × K ∈ {1,2,3} × all three modes through Engine.Build
+// pass Verify and carry their gateway paths, G-MST is rejected in
+// Distributed mode, and every Distributed build equals the Centralized
+// build of the same algorithm and K in everything but its protocol cost.
+func TestEngineModesMatrix(t *testing.T) {
 	net := testNetwork(t, 60, 6, 71)
 	g := net.Graph()
-	ctx := context.Background()
 	algorithms := []Algorithm{NCMesh, ACMesh, NCLMST, ACLMST, GMST}
 
-	for _, mode := range []Mode{Centralized, Distributed, MaxMin} {
-		for _, algo := range algorithms {
-			for _, k := range []int{1, 2, 3} {
+	for _, algo := range algorithms {
+		for _, k := range []int{1, 2, 3} {
+			var central *Result
+			for _, mode := range []Mode{Centralized, Distributed, MaxMin} {
 				label := fmt.Sprintf("%v/%v/k=%d", mode, algo, k)
-				e, err := NewEngine(g, WithK(k), WithAlgorithm(algo), WithMode(mode))
+				got, err := engineBuild(g, WithK(k), WithAlgorithm(algo), WithMode(mode))
 				if mode == Distributed && algo == GMST {
 					if err == nil {
 						t.Fatalf("%s: engine accepted the centralized-only algorithm", label)
@@ -49,35 +36,24 @@ func TestEngineMatchesLegacy(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
-				got, err := e.Build(ctx)
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
 				if err := got.Verify(g); err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
-
-				var want *Result
-				switch mode {
-				case Centralized:
-					want, err = Build(g, Options{K: k, Algorithm: algo})
-				case Distributed:
-					var cost *Cost
-					want, cost, err = BuildDistributed(g, Options{K: k, Algorithm: algo})
-					if err == nil {
-						if got.Cost == nil || got.Cost.Transmissions != cost.Transmissions {
-							t.Fatalf("%s: engine cost %+v differs from legacy %+v", label, got.Cost, cost)
-						}
-					}
-				case MaxMin:
-					want, err = BuildMaxMin(g, k, algo)
-				}
-				if err != nil {
-					t.Fatalf("%s: legacy build: %v", label, err)
-				}
-				sameStructure(t, label, got, want)
 				if len(got.GatewayPaths) == 0 && len(got.Heads) > 1 {
 					t.Fatalf("%s: engine result is not self-contained (no gateway paths)", label)
+				}
+				switch mode {
+				case Centralized:
+					central = got
+				case Distributed:
+					if got.Cost == nil || got.Cost.Transmissions <= 0 {
+						t.Fatalf("%s: no protocol cost: %+v", label, got.Cost)
+					}
+					stripped := *got
+					stripped.Cost = nil
+					if !reflect.DeepEqual(&stripped, central) {
+						t.Fatalf("%s: distributed result differs from centralized", label)
+					}
 				}
 			}
 		}
@@ -281,7 +257,7 @@ func TestEngineDistributedSelfContained(t *testing.T) {
 func TestResultWithoutGatewayPathsErrors(t *testing.T) {
 	net := testNetwork(t, 80, 6, 101)
 	g := net.Graph()
-	res, err := Build(g, Options{K: 2, Algorithm: ACLMST})
+	res, err := engineBuild(g, WithK(2), WithAlgorithm(ACLMST))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,8 +37,9 @@ type Options struct {
 	// ScalarBFS disables the CSR + multi-source batched BFS fast path
 	// and runs every traversal as a scalar per-source walk, exactly as
 	// the pipeline did before batching existed. The output is bitwise
-	// identical either way (the differential tests pin this); the flag
-	// exists for those tests and for apples-to-apples benchmarking.
+	// identical either way (TestBuildScalarMatchesBatched pins this);
+	// the flag is that test's oracle and the scale figure's scalar
+	// baseline. The public Engine always builds batched.
 	ScalarBFS bool
 }
 
@@ -86,11 +87,6 @@ type Output struct {
 	Gateway    *gateway.Result
 }
 
-// Build runs clustering, neighbor selection, and gateway selection on g.
-func Build(g *graph.Graph, opt Options) (*Output, error) {
-	return BuildCtx(context.Background(), g, opt)
-}
-
 // BuildCtx runs clustering, neighbor selection, and gateway selection on
 // g, honoring ctx cancellation inside every stage's hot loop.
 func BuildCtx(ctx context.Context, g *graph.Graph, opt Options) (*Output, error) {
@@ -129,16 +125,10 @@ func BuildCtx(ctx context.Context, g *graph.Graph, opt Options) (*Output, error)
 	return &Output{Clustering: c, Selection: sel, Gateway: res}, nil
 }
 
-// SelectionFor returns the neighbor clusterhead selection the given
-// algorithm uses. G-MST connects all head pairs centrally; its reported
+// SelectionForCtx returns the neighbor clusterhead selection the given
+// algorithm uses, honoring ctx cancellation and reusing the BFS buffers
+// s (nil is valid). G-MST connects all head pairs centrally; its reported
 // selection is the NC view for inspection purposes.
-func SelectionFor(g *graph.Graph, c *cluster.Clustering, algo gateway.Algorithm) *ncr.Selection {
-	sel, _ := SelectionForCtx(context.Background(), g, c, algo, nil)
-	return sel
-}
-
-// SelectionForCtx is SelectionFor with cancellation and reusable BFS
-// buffers (nil is valid).
 func SelectionForCtx(ctx context.Context, g *graph.Graph, c *cluster.Clustering, algo gateway.Algorithm, s *graph.Scratch) (*ncr.Selection, error) {
 	return SelectionForPar(ctx, g, nil, c, algo, s, nil)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -19,7 +20,7 @@ func TestBuildPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, algo := range gateway.Algorithms {
-		out, err := Build(net.G, Options{K: 2, Algorithm: algo})
+		out, err := BuildCtx(context.Background(), net.G, Options{K: 2, Algorithm: algo})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -41,7 +42,7 @@ func TestBuildRejectsBadK(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Build(net.G, Options{K: 0}); err == nil {
+	if _, err := BuildCtx(context.Background(), net.G, Options{K: 0}); err == nil {
 		t.Fatal("k=0 accepted")
 	}
 }
@@ -53,12 +54,51 @@ func TestSelectionForRules(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := cluster.Run(net.G, cluster.Options{K: 2})
-	acSel := SelectionFor(net.G, c, gateway.ACLMST)
-	ncSel := SelectionFor(net.G, c, gateway.NCLMST)
+	selectionFor := func(algo gateway.Algorithm) *ncr.Selection {
+		t.Helper()
+		sel, err := SelectionForCtx(context.Background(), net.G, c, algo, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sel
+	}
+	acSel := selectionFor(gateway.ACLMST)
+	ncSel := selectionFor(gateway.NCLMST)
 	if acSel.Rule != ncr.RuleANCR || ncSel.Rule != ncr.RuleNC {
 		t.Fatalf("rules: %v %v", acSel.Rule, ncSel.Rule)
 	}
-	if !reflect.DeepEqual(SelectionFor(net.G, c, gateway.GMST).Neighbors, ncSel.Neighbors) {
+	if !reflect.DeepEqual(selectionFor(gateway.GMST).Neighbors, ncSel.Neighbors) {
 		t.Fatal("GMST should report the NC view")
+	}
+}
+
+// TestBuildScalarMatchesBatched is the oracle of the CSR + multi-source
+// batched BFS fast path: across a seed sweep, every algorithm and k, a
+// ScalarBFS build (every traversal a per-source walk) and the default
+// batched build produce bitwise identical Outputs — clustering,
+// selection, and gateway result, paths and all.
+func TestBuildScalarMatchesBatched(t *testing.T) {
+	ctx := context.Background()
+	for _, seed := range []int64{3, 7, 19, 42} {
+		rng := rand.New(rand.NewSource(seed))
+		net, err := udg.Generate(udg.Config{N: 80, AvgDegree: 7, RequireConnected: true}, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, algo := range gateway.Algorithms {
+			for k := 1; k <= 3; k++ {
+				batched, err := BuildCtx(ctx, net.G, Options{K: k, Algorithm: algo})
+				if err != nil {
+					t.Fatal(err)
+				}
+				scalar, err := BuildCtx(ctx, net.G, Options{K: k, Algorithm: algo, ScalarBFS: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(batched, scalar) {
+					t.Fatalf("seed=%d %v k=%d: scalar BFS output differs from batched", seed, algo, k)
+				}
+			}
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package maxmin
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -166,5 +167,27 @@ func TestHeadCountPlausible(t *testing.T) {
 	c := Run(g, 2)
 	if len(c.Heads) < 1 || len(c.Heads) > g.N()/2 {
 		t.Fatalf("implausible head count %d", len(c.Heads))
+	}
+}
+
+// TestRunParScalarMatchesBatched pins Max-Min's batched floods (a CSR
+// snapshot) to the scalar per-source walks a nil FlatGraph selects.
+func TestRunParScalarMatchesBatched(t *testing.T) {
+	ctx := context.Background()
+	for _, seed := range []int64{3, 7, 19, 42} {
+		g := testNet(t, 80, 7, seed)
+		for d := 1; d <= 3; d++ {
+			scalar, err := RunPar(ctx, g, nil, d, graph.NewScratch(), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			batched, err := RunPar(ctx, g, graph.Flatten(g), d, graph.NewScratch(), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(scalar, batched) {
+				t.Fatalf("seed=%d d=%d: batched clustering differs from scalar", seed, d)
+			}
+		}
 	}
 }

@@ -204,20 +204,6 @@ func adopt(gc *graph.Graph, k int, algo gateway.Algorithm, c *cluster.Clustering
 // Alive reports whether node is still part of the network.
 func (m *Maintainer) Alive(node int) bool { return m.alive[node] }
 
-// Depart removes node from the network and repairs the structure,
-// returning a report of the repair scope. Departing an already-departed
-// node is an error.
-//
-// Deprecated: Depart is ApplyBatch with a single Leave event; batch
-// events through ApplyBatch so repairs coalesce.
-func (m *Maintainer) Depart(node int) (RepairReport, error) {
-	reps, err := m.ApplyBatch(context.Background(), []Event{{Kind: EventLeave, Node: node}})
-	if err != nil {
-		return RepairReport{}, err
-	}
-	return reps[0], nil
-}
-
 // ApplyBatch applies a sequence of churn events and repairs the
 // structure, coalescing the gateway work: events are repaired at the
 // clustering level one by one (so each report's scope is per-event), but

@@ -11,6 +11,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
+	"sync"
 	"testing"
 
 	khop "repro"
@@ -82,7 +84,7 @@ func fetchBytes(t *testing.T, ts *httptest.Server, path string) []byte {
 	return raw
 }
 
-var createBody = CreateRequest{
+var createBody = api.CreateRequest{
 	ID: "prod", N: 80, AvgDegree: 6, Seed: 7, K: 2, Algorithm: "AC-LMST",
 }
 
@@ -538,19 +540,19 @@ func TestAPIErrors(t *testing.T) {
 		status             int
 	}{
 		{"duplicate id", "POST", "/v1/deployments", createBody, http.StatusConflict},
-		{"bad id", "POST", "/v1/deployments", CreateRequest{ID: "../evil", N: 10}, http.StatusBadRequest},
-		{"zero n", "POST", "/v1/deployments", CreateRequest{ID: "x", N: 0}, http.StatusBadRequest},
-		{"bad algorithm", "POST", "/v1/deployments", CreateRequest{ID: "x", N: 10, Algorithm: "Steiner"}, http.StatusBadRequest},
-		{"bad edge", "POST", "/v1/deployments", CreateRequest{ID: "x", N: 4, Edges: [][2]int{{0, 9}}}, http.StatusBadRequest},
+		{"bad id", "POST", "/v1/deployments", api.CreateRequest{ID: "../evil", N: 10}, http.StatusBadRequest},
+		{"zero n", "POST", "/v1/deployments", api.CreateRequest{ID: "x", N: 0}, http.StatusBadRequest},
+		{"bad algorithm", "POST", "/v1/deployments", api.CreateRequest{ID: "x", N: 10, Algorithm: "Steiner"}, http.StatusBadRequest},
+		{"bad edge", "POST", "/v1/deployments", api.CreateRequest{ID: "x", N: 4, Edges: [][2]int{{0, 9}}}, http.StatusBadRequest},
 		{"unknown field", "POST", "/v1/deployments", map[string]any{"id": "x", "n": 10, "nodes": 10}, http.StatusBadRequest},
 		{"unknown deployment", "GET", "/v1/deployments/ghost/cds", nil, http.StatusNotFound},
 		{"delete unknown", "DELETE", "/v1/deployments/ghost", nil, http.StatusNotFound},
 		{"compact unknown", "POST", "/v1/deployments/ghost/compact", nil, http.StatusNotFound},
-		{"empty batch", "POST", "/v1/deployments/prod/events", map[string]any{"events": []EventRequest{}}, http.StatusBadRequest},
+		{"empty batch", "POST", "/v1/deployments/prod/events", map[string]any{"events": []api.EventRequest{}}, http.StatusBadRequest},
 		{"unknown kind", "POST", "/v1/deployments/prod/events",
-			map[string]any{"events": []EventRequest{{Kind: "explode", Node: 1}}}, http.StatusBadRequest},
+			map[string]any{"events": []api.EventRequest{{Kind: "explode", Node: 1}}}, http.StatusBadRequest},
 		{"event out of range", "POST", "/v1/deployments/prod/events",
-			map[string]any{"events": []EventRequest{{Kind: "leave", Node: 9999}}}, http.StatusUnprocessableEntity},
+			map[string]any{"events": []api.EventRequest{{Kind: "leave", Node: 9999}}}, http.StatusUnprocessableEntity},
 		{"route missing params", "GET", "/v1/deployments/prod/route", nil, http.StatusBadRequest},
 		{"route bad node", "GET", "/v1/deployments/prod/route?src=0&dst=12345", nil, http.StatusBadRequest},
 		{"broadcast bad src", "GET", "/v1/deployments/prod/broadcast?src=-2", nil, http.StatusBadRequest},
@@ -610,6 +612,102 @@ func TestPartialBatchReported(t *testing.T) {
 		{Kind: "join", Node: 4, Neighbors: []int{1}},
 	}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// cancelAfterN is a context whose Err starts reporting Canceled after n
+// calls: a client that disconnects while its batch is being applied.
+type cancelAfterN struct {
+	context.Context
+	mu sync.Mutex
+	n  int
+}
+
+func (c *cancelAfterN) Err() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.n <= 0 {
+		return context.Canceled
+	}
+	c.n--
+	return nil
+}
+
+// TestEventsSurviveClientDisconnect: a validated batch applies whole
+// even when the client goes away mid-apply. Otherwise the server would
+// keep (and checkpoint) half a batch nobody was acked for, and the
+// client's retry would fail on the applied prefix. The recovered state
+// must be byte-identical to an Engine that applied the batch once.
+func TestEventsSurviveClientDisconnect(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	h := New(Config{StateDir: dir}).Handler()
+	ts1 := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasSuffix(r.URL.Path, "/events") {
+			r = r.WithContext(&cancelAfterN{Context: r.Context(), n: 2})
+		}
+		h.ServeHTTP(w, r)
+	}))
+	defer ts1.Close()
+	c1 := tc(ts1)
+	if _, err := c1.Create(ctx, createBody); err != nil {
+		t.Fatal(err)
+	}
+	leaves := []int{5, 17, 30, 44}
+	batch := make([]api.EventRequest, len(leaves))
+	for i, v := range leaves {
+		batch[i] = api.EventRequest{Kind: "leave", Node: v}
+	}
+	resp, err := c1.Events(ctx, "prod", batch)
+	if err != nil {
+		t.Fatalf("batch cut short by the disconnect: %v (applied %d)", err, resp.Applied)
+	}
+	if resp.Applied != len(leaves) {
+		t.Fatalf("applied %d events, want %d", resp.Applied, len(leaves))
+	}
+	ts1.Close()
+
+	// The oracle: the same deployment, built in-process, with the batch
+	// applied exactly once.
+	net, err := khop.RandomNetwork(khop.NetworkConfig{N: createBody.N, AvgDegree: createBody.AvgDegree, Seed: createBody.Seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := khop.NewEngine(net.Graph(), khop.WithK(createBody.K), khop.WithAlgorithm(khop.ACLMST))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Build(ctx); err != nil {
+		t.Fatal(err)
+	}
+	events := make([]khop.Event, len(leaves))
+	for i, v := range leaves {
+		events[i] = khop.Leave(v)
+	}
+	if _, err := eng.Apply(ctx, events...); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := codec.FromEngine(eng, khop.Centralized)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := codec.Encode(&want, snap); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := New(Config{StateDir: dir})
+	if err := s2.Load(); err != nil {
+		t.Fatal(err)
+	}
+	ts2 := httptest.NewServer(s2.Handler())
+	defer ts2.Close()
+	got, err := tc(ts2).Snapshot(ctx, "prod")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatal("recovered snapshot differs from an engine that applied the batch once")
 	}
 }
 

@@ -1,6 +1,7 @@
 package khop
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"strings"
@@ -15,6 +16,15 @@ func testNetwork(t testing.TB, n int, deg float64, seed int64) *Network {
 		t.Fatal(err)
 	}
 	return net
+}
+
+// engineBuild runs one build of g through a fresh Engine.
+func engineBuild(g *Graph, opts ...Option) (*Result, error) {
+	e, err := NewEngine(g, opts...)
+	if err != nil {
+		return nil, err
+	}
+	return e.Build(context.Background())
 }
 
 func TestGraphBasics(t *testing.T) {
@@ -105,7 +115,7 @@ func TestBuildAllAlgorithmsVerify(t *testing.T) {
 	g := net.Graph()
 	for _, algo := range []Algorithm{NCMesh, ACMesh, NCLMST, ACLMST, GMST} {
 		for _, k := range []int{1, 2, 3} {
-			res, err := Build(g, Options{K: k, Algorithm: algo})
+			res, err := engineBuild(g, WithK(k), WithAlgorithm(algo))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -121,33 +131,36 @@ func TestBuildAllAlgorithmsVerify(t *testing.T) {
 
 func TestBuildRejectsBadK(t *testing.T) {
 	g := NewGraph(3)
-	if _, err := Build(g, Options{K: 0}); err == nil {
+	if _, err := engineBuild(g, WithK(0)); err == nil {
 		t.Fatal("K=0 accepted")
 	}
-	if _, _, err := BuildDistributed(g, Options{K: -1}); err == nil {
-		t.Fatal("K=-1 accepted by BuildDistributed")
+	if _, err := engineBuild(g, WithK(-1), WithMode(Distributed)); err == nil {
+		t.Fatal("K=-1 accepted in Distributed mode")
 	}
 }
 
 func TestBuildDistributedMatchesBuild(t *testing.T) {
 	net := testNetwork(t, 70, 6, 9)
 	g := net.Graph()
-	opt := Options{K: 2, Algorithm: ACLMST}
-	want, err := Build(g, opt)
+	want, err := engineBuild(g, WithK(2), WithAlgorithm(ACLMST))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, cost, err := BuildDistributed(g, opt)
+	got, err := engineBuild(g, WithK(2), WithAlgorithm(ACLMST), WithMode(Distributed))
 	if err != nil {
 		t.Fatal(err)
 	}
+	if want.Cost != nil {
+		t.Fatalf("centralized build reports a protocol cost: %+v", want.Cost)
+	}
+	cost := got.Cost
 	if !reflect.DeepEqual(got.Heads, want.Heads) ||
 		!reflect.DeepEqual(got.HeadOf, want.HeadOf) ||
 		!reflect.DeepEqual(got.Gateways, want.Gateways) ||
 		!reflect.DeepEqual(got.CDS, want.CDS) {
 		t.Fatal("distributed result differs from centralized")
 	}
-	if cost.Transmissions <= 0 || cost.Rounds <= 0 || len(cost.Phases) == 0 {
+	if cost == nil || cost.Transmissions <= 0 || cost.Rounds <= 0 || len(cost.Phases) == 0 {
 		t.Fatalf("cost=%+v", cost)
 	}
 	sum := 0
@@ -161,8 +174,8 @@ func TestBuildDistributedMatchesBuild(t *testing.T) {
 
 func TestBuildDistributedRejectsGMST(t *testing.T) {
 	net := testNetwork(t, 30, 6, 2)
-	if _, _, err := BuildDistributed(net.Graph(), Options{K: 1, Algorithm: GMST}); err == nil {
-		t.Fatal("G-MST accepted by BuildDistributed")
+	if _, err := engineBuild(net.Graph(), WithK(1), WithAlgorithm(GMST), WithMode(Distributed)); err == nil {
+		t.Fatal("G-MST accepted in Distributed mode")
 	}
 }
 
@@ -170,7 +183,7 @@ func TestBuildAffiliationAndPriorityOptions(t *testing.T) {
 	net := testNetwork(t, 80, 7, 11)
 	g := net.Graph()
 	for _, aff := range []Affiliation{AffiliationID, AffiliationDistance, AffiliationSize} {
-		res, err := Build(g, Options{K: 2, Algorithm: ACLMST, Affiliation: aff})
+		res, err := engineBuild(g, WithK(2), WithAlgorithm(ACLMST), WithAffiliation(aff))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -183,7 +196,7 @@ func TestBuildAffiliationAndPriorityOptions(t *testing.T) {
 		energy[i] = float64(g.N() - i)
 	}
 	for _, prio := range []Priority{LowestIDPriority(), HighestDegreePriority(g), HighestEnergyPriority(energy)} {
-		res, err := Build(g, Options{K: 2, Algorithm: ACLMST, Priority: prio})
+		res, err := engineBuild(g, WithK(2), WithAlgorithm(ACLMST), WithPriority(prio))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,7 +209,7 @@ func TestBuildAffiliationAndPriorityOptions(t *testing.T) {
 func TestVerifyCatchesCorruption(t *testing.T) {
 	net := testNetwork(t, 60, 6, 13)
 	g := net.Graph()
-	res, err := Build(g, Options{K: 2, Algorithm: ACLMST})
+	res, err := engineBuild(g, WithK(2), WithAlgorithm(ACLMST))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +228,7 @@ func TestVerifyCatchesCorruption(t *testing.T) {
 func TestGatewayPathsExposed(t *testing.T) {
 	net := testNetwork(t, 80, 6, 15)
 	g := net.Graph()
-	res, err := Build(g, Options{K: 2, Algorithm: ACLMST})
+	res, err := engineBuild(g, WithK(2), WithAlgorithm(ACLMST))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,30 +242,6 @@ func TestGatewayPathsExposed(t *testing.T) {
 	}
 }
 
-func TestMaintainerFacade(t *testing.T) {
-	net := testNetwork(t, 80, 7, 17)
-	m := NewMaintainer(net.Graph(), 2, ACLMST)
-	if len(m.Heads()) == 0 || m.CDSSize() == 0 {
-		t.Fatal("empty initial structure")
-	}
-	if !m.Alive(0) {
-		t.Fatal("node 0 not alive")
-	}
-	rep, err := m.Depart(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Alive(0) {
-		t.Fatal("node 0 alive after departure")
-	}
-	if rep.Node != 0 {
-		t.Fatalf("report %+v", rep)
-	}
-	if _, err := m.Depart(0); err == nil {
-		t.Fatal("double departure accepted")
-	}
-}
-
 // TestBuildQuickInvariants: quick-check over random seeds and k that the
 // full pipeline always verifies.
 func TestBuildQuickInvariants(t *testing.T) {
@@ -263,7 +252,7 @@ func TestBuildQuickInvariants(t *testing.T) {
 		if err != nil {
 			return true // sparse instance failed to connect; skip
 		}
-		res, err := Build(net.Graph(), Options{K: k, Algorithm: algo})
+		res, err := engineBuild(net.Graph(), WithK(k), WithAlgorithm(algo))
 		if err != nil {
 			return false
 		}
@@ -276,7 +265,7 @@ func TestBuildQuickInvariants(t *testing.T) {
 
 func TestHeadsSortedAndUnique(t *testing.T) {
 	net := testNetwork(t, 90, 6, 19)
-	res, err := Build(net.Graph(), Options{K: 2, Algorithm: ACLMST})
+	res, err := engineBuild(net.Graph(), WithK(2), WithAlgorithm(ACLMST))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +308,7 @@ func TestBuildHierarchyFacade(t *testing.T) {
 func TestBuildMaxMin(t *testing.T) {
 	net := testNetwork(t, 90, 7, 61)
 	g := net.Graph()
-	res, err := BuildMaxMin(g, 2, ACLMST)
+	res, err := engineBuild(g, WithK(2), WithAlgorithm(ACLMST), WithMode(MaxMin))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,11 +320,11 @@ func TestBuildMaxMin(t *testing.T) {
 	if err := res.Verify(g); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := BuildMaxMin(g, 0, ACLMST); err == nil {
+	if _, err := engineBuild(g, WithK(0), WithAlgorithm(ACLMST), WithMode(MaxMin)); err == nil {
 		t.Fatal("d=0 accepted")
 	}
 	// The paper's clustering on the same instance claims independence.
-	lo, err := Build(g, Options{K: 2, Algorithm: ACLMST})
+	lo, err := engineBuild(g, WithK(2), WithAlgorithm(ACLMST))
 	if err != nil {
 		t.Fatal(err)
 	}
