@@ -402,6 +402,60 @@ func BenchmarkRouting(b *testing.B) {
 	}
 }
 
+// BenchmarkServeDerive measures what khopd derives on every churn batch
+// (the broadcast plan and the router) and a read burst (100 routes) at
+// serving size: degree 12, k=2, AC-LMST, n=1k and 5k. An O(H·N)
+// derivation shows here as a plan cost growing ~25× from 1k to 5k
+// instead of ~5×; the n=150 BenchmarkBroadcast cannot show it.
+func BenchmarkServeDerive(b *testing.B) {
+	for _, n := range []int{1000, 5000} {
+		net, err := RandomNetwork(NetworkConfig{N: n, AvgDegree: 12, Seed: 13})
+		if err != nil {
+			b.Fatal(err)
+		}
+		g := net.Graph()
+		res, err := engineBuild(g, WithK(2), WithAlgorithm(ACLMST))
+		if err != nil {
+			b.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(int64(n)))
+		pairs := make([][2]int, 100)
+		for i := range pairs {
+			pairs[i] = [2]int{rng.Intn(n), rng.Intn(n)}
+		}
+		b.Run(fmt.Sprintf("n=%d/plan", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := NewBroadcastPlan(g, res); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("n=%d/router", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := NewRouter(g, res); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		router, err := NewRouter(g, res)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("n=%d/route100", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, p := range pairs {
+					if _, err := router.Route(p[0], p[1]); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkEnergyLifetime regenerates the §3.3 power-aware experiment:
 // first-death epoch under static vs rotated clusterheads (N=100, D=7,
 // k=2).

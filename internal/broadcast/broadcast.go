@@ -87,32 +87,76 @@ func (p *Plan) Forwards(v int) bool { return p.forward[v] }
 // dissemination tree relay toward the fringe. Coverage is guaranteed by
 // construction: every member is reached by walking its tree path from
 // the head, and heads reach each other through the connected CDS.
+//
+// Each head's walks read only distances inside its k-ball, so the
+// derivation costs O(N + H·ball) rather than a whole-graph BFS per head.
 func NewPlan(g *graph.Graph, c *cluster.Clustering, res *gateway.Result) *Plan {
-	p := &Plan{forward: make([]bool, g.N())}
+	n := g.N()
+	p := &Plan{forward: make([]bool, n)}
 	for _, v := range res.CDS {
 		p.forward[v] = true
 	}
-	distFrom := make(map[int][]int, len(c.Heads))
+	// Group the members by listed head, a counting sort into CSR form:
+	// members[off[h]:off[h+1]] are h's members. A departed slot
+	// (self-headed but not a listed head — the maintenance convention)
+	// joins no group: it is off the air and needs no dissemination path.
+	listed := make([]bool, n)
 	for _, h := range c.Heads {
-		distFrom[h] = g.BFS(h)
+		listed[h] = true
 	}
+	off := make([]int, n+1)
+	for _, h := range c.Head {
+		if listed[h] {
+			off[h+1]++
+		}
+	}
+	for h := 0; h < n; h++ {
+		off[h+1] += off[h]
+	}
+	members := make([]int, off[n])
+	fill := append([]int(nil), off[:n]...)
 	for v, h := range c.Head {
-		d := distFrom[h]
-		if d == nil {
-			// v is a departed slot (self-headed but not a listed head —
-			// the maintenance convention): it is off the air and needs
-			// no dissemination path.
+		if listed[h] {
+			members[fill[h]] = v
+			fill[h]++
+		}
+	}
+
+	s := graph.NewScratch()
+	for h := 0; h < n; h++ {
+		ms := members[off[h]:off[h+1]]
+		if len(ms) == 0 {
 			continue
 		}
-		for cur := v; d[cur] > 1; {
-			// Smallest-ID neighbor one hop closer to the head — the same
-			// parent the declare-flood tree uses, so a deployment pays
-			// no extra state for this plan.
-			for _, u := range g.Neighbors(cur) {
-				if d[u] == d[cur]-1 {
-					p.forward[u] = true
-					cur = u
-					break
+		// Members lie within K hops of their head, so a K-bounded BFS
+		// holds every distance the walks below read. It stops once the
+		// last member is discovered: BFS goes by layers, so every vertex
+		// closer to h than that member already has its distance.
+		left := len(ms)
+		g.EachWithin(s, h, c.K, func(v, _ int) bool {
+			if c.Head[v] == h {
+				left--
+			}
+			return left > 0
+		})
+		if left > 0 {
+			// A member beyond K hops (a hand-assembled clustering that
+			// VerifyResult would reject): walk this head unbounded so
+			// the plan stays exact for every input.
+			g.BFSScratch(s, h)
+		}
+		for _, v := range ms {
+			for cur := v; s.Dist(cur) > 1; {
+				// Smallest-ID neighbor one hop closer to the head — the
+				// same parent the declare-flood tree uses, so a
+				// deployment pays no extra state for this plan.
+				d := s.Dist(cur)
+				for _, u := range g.Neighbors(cur) {
+					if s.Dist(u) == d-1 {
+						p.forward[u] = true
+						cur = u
+						break
+					}
 				}
 			}
 		}

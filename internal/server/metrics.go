@@ -111,6 +111,7 @@ type depMetrics struct {
 	eventBatches  *telemetry.Counter
 	eventErrors   *telemetry.Counter
 	applySecs     *telemetry.Histogram
+	refreshSecs   *telemetry.Histogram
 	gatewayRuns   *telemetry.Counter
 	gatewaySaved  *telemetry.Counter
 
@@ -148,7 +149,8 @@ func newDepMetrics() *depMetrics {
 		eventsApplied: set.Counter("khopd_events_applied_total", "Churn events applied."),
 		eventBatches:  set.Counter("khopd_event_batches_total", "Churn batches applied (fully or partially)."),
 		eventErrors:   set.Counter("khopd_event_errors_total", "Churn batches rejected or partially applied."),
-		applySecs:     set.Histogram("khopd_apply_seconds", "Engine.Apply latency per churn batch (write-lock section)."),
+		applySecs:     set.Histogram("khopd_apply_seconds", "Engine.Apply latency per churn batch; the batch's write-lock section also holds the refresh and the WAL append."),
+		refreshSecs:   set.Histogram("khopd_refresh_seconds", "Router and broadcast-plan refresh latency per applied churn batch (inside the write lock)."),
 		gatewayRuns:   set.Counter("khopd_gateway_runs_total", "Gateway selection runs across churn batches."),
 		gatewaySaved:  set.Counter("khopd_gateway_saved_total", "Per-event gateway runs avoided by batch coalescing."),
 

@@ -73,6 +73,7 @@ func TestMetricsEndpoints(t *testing.T) {
 			{"khopd_events_applied_total", 2},
 			{"khopd_event_batches_total", 1},
 			{"khopd_apply_seconds_count", 1},
+			{"khopd_refresh_seconds_count", 1},
 			{"khopd_snapshot_requests_total", 1},
 			{"khopd_snapshot_encode_seconds_count", 1},
 			{"khopd_nodes", float64(createBody.N)},
@@ -88,6 +89,15 @@ func TestMetricsEndpoints(t *testing.T) {
 		saved, _ := sc.Value("khopd_gateway_saved_total", labels)
 		if runs+saved == 0 {
 			t.Errorf("%s: no gateway coalescing stats (runs=%v saved=%v)", path, runs, saved)
+		}
+		// The refresh has its own series: the one batch's timing lands in
+		// the +Inf bucket and a positive sum after the parse round-trip.
+		inf := map[string]string{"deployment": "prod", "le": "+Inf"}
+		if v, ok := sc.Value("khopd_refresh_seconds_bucket", inf); !ok || v != 1 {
+			t.Errorf("%s: refresh +Inf bucket = %v (present=%v), want 1", path, v, ok)
+		}
+		if v, ok := sc.Value("khopd_refresh_seconds_sum", labels); !ok || v <= 0 {
+			t.Errorf("%s: refresh seconds sum = %v (present=%v), want > 0", path, v, ok)
 		}
 		if v, ok := sc.Value("khopd_snapshot_encode_bytes_total", labels); !ok || v <= 0 {
 			t.Errorf("%s: snapshot encode bytes = %v", path, v)

@@ -590,8 +590,11 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request, d *deploym
 	d.events += len(reports)
 	// Refresh even on a mid-batch error: the engine's Result already
 	// reflects the repairs that did apply.
+	var refreshDur time.Duration
 	if len(reports) > 0 {
+		refreshStart := time.Now()
 		d.refresh()
+		refreshDur = time.Since(refreshStart)
 	}
 	switch {
 	case err == nil && len(reports) > 0:
@@ -673,6 +676,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request, d *deploym
 		m.compactedNodes.Add(uint64(autoDropped))
 	}
 	if n := len(reports); n > 0 {
+		m.refreshSecs.Observe(refreshDur)
 		// Every report carries the same batch-level coalescing totals.
 		m.gatewayRuns.Add(uint64(reports[n-1].BatchGatewayRuns))
 		m.gatewaySaved.Add(uint64(reports[n-1].BatchGatewaySaved))
