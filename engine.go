@@ -578,8 +578,7 @@ func (e *Engine) Apply(ctx context.Context, events ...Event) ([]RepairReport, er
 	}
 	reports, firstErr := e.maint.ApplyBatch(ctx, batch)
 	// Refresh even when the batch stopped early, so Result never goes
-	// stale behind repairs that did apply; the refresh itself runs under
-	// a background context for the same reason.
+	// stale behind repairs that did apply.
 	if len(reports) > 0 {
 		// Independence is forfeited only by events that actually added
 		// radio links; a zero-neighbor Join or Move (radio silence)
@@ -590,9 +589,7 @@ func (e *Engine) Apply(ctx context.Context, events ...Event) ([]RepairReport, er
 				edgesAdded = true
 			}
 		}
-		if err := e.refreshFromMaintainer(context.Background(), edgesAdded); err != nil && firstErr == nil {
-			firstErr = err
-		}
+		e.refreshFromMaintainer(edgesAdded)
 	}
 	return reports, firstErr
 }
@@ -601,25 +598,16 @@ func (e *Engine) Apply(ctx context.Context, events ...Event) ([]RepairReport, er
 // maintainer's repaired internal structures. Callers hold e.mu;
 // edgesAdded reports whether the batch added radio links (Join/Move),
 // which forfeits the k-hop-independence guarantee.
-func (e *Engine) refreshFromMaintainer(ctx context.Context, edgesAdded bool) error {
+func (e *Engine) refreshFromMaintainer(edgesAdded bool) {
 	// The maintainer replaces Res exactly when a repair re-ran gateway
-	// selection; while it is untouched (member events, which §3.3 keeps
-	// free) the previous neighbor selection still describes the
-	// structure, so skip the whole-graph recompute.
+	// selection, and sets the matching Sel in the same step; while Res
+	// is untouched (member events, which §3.3 keeps free) the previous
+	// neighbor selection still describes the structure.
 	if e.maint.Res != e.curGres {
-		sel := e.maint.Sel
-		if sel == nil {
-			var err error
-			sel, err = core.SelectionForCtx(ctx, e.maint.G, e.maint.C, e.built.cfg.algorithm, nil)
-			if err != nil {
-				return err
-			}
-		}
-		e.curSel = sel
+		e.curSel = e.maint.Sel
 		e.curGres = e.maint.Res
 	}
 	res := assemble(e.maint.C, e.curSel, e.maint.Res, e.built.cfg.k, e.built.cfg.algorithm)
 	res.IndependentHeads = (e.cur == nil || e.cur.IndependentHeads) && !edgesAdded
 	e.cur = res
-	return nil
 }

@@ -113,9 +113,8 @@ type Scratch struct {
 	BFS    *graph.Scratch
 	offers []offer
 	sizes  []int
-	// Per-worker buffers of a parallel run (Options.Pool), reused across
-	// rounds and builds so the sharded phases allocate as little as the
-	// serial ones.
+	// Per-shard buffers of the sharded phases, one per pool worker (a
+	// serial run uses slot 0 only), reused across rounds and builds.
 	parDeclared [][]int
 	parOffers   [][]offer
 }
@@ -171,28 +170,11 @@ func RunCtx(ctx context.Context, g *graph.Graph, opt Options, s *Scratch) (*Clus
 		// Phase 1: simultaneous declarations. A node declares iff its
 		// rank beats every other undecided node within its k-hop ball.
 		// The round state (head) is frozen during this phase, so the
-		// per-node checks are independent and shard across the pool when
-		// one is configured; shards merge in node-ID order, which is the
-		// serial order.
-		var declared []int
-		if opt.Pool.Workers() > 1 {
-			var err error
-			declared, err = declareRoundParallel(ctx, g, opt, s, prio, head)
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			for u := 0; u < n; u++ {
-				if head[u] != undecided {
-					continue
-				}
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-				if declares(g, s.BFS, prio, head, u, opt.K) {
-					declared = append(declared, u)
-				}
-			}
+		// per-node checks are independent and shard across the pool;
+		// shards merge in node-ID order, which is the serial order.
+		declared, err := declareRound(ctx, g, opt, s, prio, head)
+		if err != nil {
+			return nil, err
 		}
 		if len(declared) == 0 {
 			// With a totally ordered priority this cannot happen: the
@@ -217,21 +199,8 @@ func RunCtx(ctx context.Context, g *graph.Graph, opt Options, s *Scratch) (*Clus
 		// already marked), so they shard too; the offer multiset is
 		// identical however it is collected, and joinAll's total sort on
 		// the unique (node, head) keys erases the collection order.
-		if opt.Pool.Workers() > 1 {
-			if err := offerRoundParallel(ctx, g, opt, s, declared, head); err != nil {
-				return nil, err
-			}
-		} else if opt.Flat != nil {
-			if err := offerBlocks(ctx, opt.Flat, s.BFS, head, declared, opt.K, &s.offers); err != nil {
-				return nil, err
-			}
-		} else {
-			for _, h := range declared {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-				collectOffers(g, s.BFS, head, h, opt.K, &s.offers)
-			}
+		if err := offerRound(ctx, g, opt, s, declared, head); err != nil {
+			return nil, err
 		}
 		joinAll(s, head, distToHead, opt.Affiliation, &remaining)
 	}
@@ -299,9 +268,6 @@ func collectOffers(g *graph.Graph, bs *graph.Scratch, head []int, h, k int, out 
 // sorts before consuming.
 func offerBlocks(ctx context.Context, fg *graph.FlatGraph, bs *graph.Scratch, head, declared []int, k int, out *[]offer) error {
 	const undecided = -1
-	if bs == nil {
-		bs = graph.NewScratch()
-	}
 	perm := fg.RankOrder(declared)
 	var block [64]int
 	for base := 0; base < len(declared); base += 64 {
@@ -325,10 +291,10 @@ func offerBlocks(ctx context.Context, fg *graph.FlatGraph, bs *graph.Scratch, he
 	return nil
 }
 
-// declareRoundParallel runs one declaration phase sharded across the
-// pool and merges the per-shard winner lists in shard (= node-ID)
-// order, reproducing the serial list exactly.
-func declareRoundParallel(ctx context.Context, g *graph.Graph, opt Options, s *Scratch, prio Priority, head []int) ([]int, error) {
+// declareRound runs one declaration phase sharded across the pool and
+// merges the per-shard winner lists in shard (= node-ID) order, which
+// is the serial list. The list is valid until the next round.
+func declareRound(ctx context.Context, g *graph.Graph, opt Options, s *Scratch, prio Priority, head []int) ([]int, error) {
 	const undecided = -1
 	w := opt.Pool.Workers()
 	for len(s.parDeclared) < w {
@@ -337,12 +303,14 @@ func declareRoundParallel(ctx context.Context, g *graph.Graph, opt Options, s *S
 	decl := s.parDeclared
 	// Reset every worker slot first: a round with fewer items than
 	// workers runs fewer shards, and a stale slot from the previous
-	// round must not leak into this round's merge.
+	// round must not leak into this round's merge. The round's list is
+	// consumed before the next round starts, so slot 0 doubles as the
+	// merged list: a one-shard (serial) run neither copies nor allocates.
 	for i := range decl[:w] {
 		decl[i] = decl[i][:0]
 	}
-	err := opt.Pool.Shard(ctx, g.N(), func(shard int, bs *graph.Scratch, r partition.Range) error {
-		out := decl[shard][:0]
+	err := opt.Pool.Shard(ctx, s.BFS, g.N(), func(shard int, bs *graph.Scratch, r partition.Range) error {
+		out := decl[shard]
 		for u := r.Start; u < r.End; u++ {
 			if head[u] != undecided {
 				continue
@@ -360,28 +328,30 @@ func declareRoundParallel(ctx context.Context, g *graph.Graph, opt Options, s *S
 	if err != nil {
 		return nil, err
 	}
-	var declared []int
-	for _, part := range decl[:w] {
-		declared = append(declared, part...)
+	for _, part := range decl[1:w] {
+		decl[0] = append(decl[0], part...)
 	}
-	return declared, nil
+	return decl[0], nil
 }
 
-// offerRoundParallel collects the round's offers sharded over the
-// declared heads, concatenating the per-shard lists into s.offers.
-func offerRoundParallel(ctx context.Context, g *graph.Graph, opt Options, s *Scratch, declared, head []int) error {
+// offerRound collects the round's offers sharded over the declared
+// heads into s.offers. Shard 0 appends to s.offers itself and the other
+// shards' lists follow it in shard order, so a one-shard (serial) run
+// copies nothing.
+func offerRound(ctx context.Context, g *graph.Graph, opt Options, s *Scratch, declared, head []int) error {
 	w := opt.Pool.Workers()
 	for len(s.parOffers) < w {
 		s.parOffers = append(s.parOffers, nil)
 	}
 	offs := s.parOffers
-	// As in declareRoundParallel: clear stale slots from rounds that ran
-	// more shards than this one will.
-	for i := range offs[:w] {
-		offs[i] = offs[i][:0]
+	offs[0] = s.offers
+	// As in declareRound: clear stale slots from rounds that ran more
+	// shards than this one will.
+	for i := range offs[1:w] {
+		offs[i+1] = offs[i+1][:0]
 	}
-	err := opt.Pool.Shard(ctx, len(declared), func(shard int, bs *graph.Scratch, r partition.Range) error {
-		out := offs[shard][:0]
+	err := opt.Pool.Shard(ctx, s.BFS, len(declared), func(shard int, bs *graph.Scratch, r partition.Range) error {
+		out := offs[shard]
 		if opt.Flat != nil {
 			if err := offerBlocks(ctx, opt.Flat, bs, head, declared[r.Start:r.End], opt.K, &out); err != nil {
 				return err
@@ -400,7 +370,8 @@ func offerRoundParallel(ctx context.Context, g *graph.Graph, opt Options, s *Scr
 	if err != nil {
 		return err
 	}
-	for _, part := range offs[:w] {
+	s.offers = offs[0]
+	for _, part := range offs[1:w] {
 		s.offers = append(s.offers, part...)
 	}
 	return nil

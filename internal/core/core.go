@@ -137,10 +137,5 @@ func SelectionForCtx(ctx context.Context, g *graph.Graph, c *cluster.Clustering,
 // across pool's workers (nil pool = serial, identical output) and, when
 // fg (the CSR snapshot of g) is non-nil, batched 64 heads per BFS sweep.
 func SelectionForPar(ctx context.Context, g *graph.Graph, fg *graph.FlatGraph, c *cluster.Clustering, algo gateway.Algorithm, s *graph.Scratch, pool *partition.Pool) (*ncr.Selection, error) {
-	rule := ncr.RuleNC
-	switch algo {
-	case gateway.ACMesh, gateway.ACLMST:
-		rule = ncr.RuleANCR
-	}
-	return ncr.SelectPar(ctx, g, fg, c, rule, s, pool)
+	return ncr.SelectPar(ctx, g, fg, c, algo.Rule(), s, pool)
 }

@@ -76,7 +76,8 @@ func TestSelectionForRules(t *testing.T) {
 // batched BFS fast path: across a seed sweep, every algorithm and k, a
 // ScalarBFS build (every traversal a per-source walk) and the default
 // batched build produce bitwise identical Outputs — clustering,
-// selection, and gateway result, paths and all.
+// selection, and gateway result, paths and all. The 3-worker legs run
+// both paths' loop bodies inside a multi-shard partition.Pool.Shard.
 func TestBuildScalarMatchesBatched(t *testing.T) {
 	ctx := context.Background()
 	for _, seed := range []int64{3, 7, 19, 42} {
@@ -91,12 +92,17 @@ func TestBuildScalarMatchesBatched(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				scalar, err := BuildCtx(ctx, net.G, Options{K: k, Algorithm: algo, ScalarBFS: true})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(batched, scalar) {
-					t.Fatalf("seed=%d %v k=%d: scalar BFS output differs from batched", seed, algo, k)
+				for _, workers := range []int{1, 3} {
+					s := NewScratch()
+					for _, scalarBFS := range []bool{true, false} {
+						out, err := BuildCtx(ctx, net.G, Options{K: k, Algorithm: algo, Scratch: s, Pool: s.Par(workers), ScalarBFS: scalarBFS})
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !reflect.DeepEqual(batched, out) {
+							t.Fatalf("seed=%d %v k=%d workers=%d scalar=%v: output differs from the serial batched build", seed, algo, k, workers, scalarBFS)
+						}
+					}
 				}
 			}
 		}

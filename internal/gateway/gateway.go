@@ -103,51 +103,46 @@ func (r *Result) NumGateways() int { return len(r.Gateways) }
 // CDSSize returns |heads ∪ gateways|, the paper's main metric.
 func (r *Result) CDSSize() int { return len(r.CDS) }
 
+// Rule returns the neighbor clusterhead selection rule the algorithm
+// runs on: A-NCR for the AC pipelines, NC for the NC pipelines and for
+// G-MST, which connects all head pairs centrally and whose reported
+// selection is the NC view. It panics on an unknown algorithm.
+func (a Algorithm) Rule() ncr.Rule {
+	switch a {
+	case ACMesh, ACLMST:
+		return ncr.RuleANCR
+	case NCMesh, NCLMST, GMST:
+		return ncr.RuleNC
+	default:
+		panic(fmt.Sprintf("gateway: unknown algorithm %d", int(a)))
+	}
+}
+
 // Run executes the full pipeline for the given algorithm.
 func Run(g *graph.Graph, c *cluster.Clustering, algo Algorithm) *Result {
-	res, err := RunCtx(context.Background(), g, c, algo, nil)
-	if err != nil {
-		panic(err.Error()) // Background context cannot be cancelled
+	ctx := context.Background() // cannot be cancelled: the errors below are nil
+	rule := algo.Rule()         // panics on an unknown algorithm
+	var sel *ncr.Selection
+	if algo != GMST {
+		sel, _ = ncr.SelectPar(ctx, g, nil, c, rule, nil, nil)
 	}
+	res, _ := RunSelectedPar(ctx, g, nil, c, sel, algo, nil, nil)
 	return res
 }
 
-// RunCtx executes the full pipeline for the given algorithm, honoring
-// cancellation between the per-pair and per-head steps of the selection
-// hot loops and reusing s's BFS buffers across them (nil is valid).
-func RunCtx(ctx context.Context, g *graph.Graph, c *cluster.Clustering, algo Algorithm, s *graph.Scratch) (*Result, error) {
-	rule := ncr.RuleNC
-	switch algo {
-	case ACMesh, ACLMST:
-		rule = ncr.RuleANCR
-	case GMST:
-		return globalMSTCtx(ctx, g, nil, c, s, nil)
-	case NCMesh, NCLMST:
-	default:
-		panic(fmt.Sprintf("gateway: unknown algorithm %d", int(algo)))
-	}
-	sel, err := ncr.SelectCtx(ctx, g, c, rule, s)
-	if err != nil {
-		return nil, err
-	}
-	return RunSelectedCtx(ctx, g, c, sel, algo, s)
-}
-
-// RunSelectedCtx runs the gateway-selection stage for algo over an
+// RunSelectedPar runs the gateway-selection stage for algo over an
 // already-computed neighbor selection, for callers (like internal/core)
 // that need the selection themselves and should not pay for it twice.
-// GMST connects all head pairs centrally and ignores sel.
-func RunSelectedCtx(ctx context.Context, g *graph.Graph, c *cluster.Clustering, sel *ncr.Selection, algo Algorithm, s *graph.Scratch) (*Result, error) {
-	return runSelected(ctx, g, nil, c, sel, algo, s, nil, nil, nil)
-}
-
-// RunSelectedPar is RunSelectedCtx with the per-pair shortest-path
-// computations, the per-head local MSTs (LMSTGA), and G-MST's per-head
-// distance passes sharded across pool's workers. The Result — links,
-// paths, gateways, CDS — is identical to a serial run for any worker
-// count: every sharded item is an independent read-only computation
-// whose outputs merge in the serial order. A nil pool (or one worker)
-// is the serial path.
+// GMST connects all head pairs centrally and ignores sel. It honors
+// cancellation between the per-pair and per-head steps of the hot loops
+// and reuses s's BFS buffers across them (nil is valid).
+//
+// The per-pair shortest-path computations, the per-head local MSTs
+// (LMSTGA), and G-MST's per-head distance passes shard across pool's
+// workers. The Result — links, paths, gateways, CDS — is identical to a
+// serial run for any worker count: every sharded item is an independent
+// read-only computation whose outputs merge in the serial order. A nil
+// pool (or one worker) is the serial path.
 //
 // A non-nil fg (the CSR snapshot of g) additionally batches the BFS
 // fan-outs: per-pair shortest paths group by source into one shared
@@ -159,14 +154,15 @@ func RunSelectedPar(ctx context.Context, g *graph.Graph, fg *graph.FlatGraph, c 
 	return runSelected(ctx, g, fg, c, sel, algo, s, nil, nil, pool)
 }
 
-// RunSelectedFrom is RunSelectedCtx for incremental repair: it re-runs
-// gateway selection after a local topology change, reusing from prev the
-// gateway paths of virtual links the change did not touch. A cached path
-// is kept when the link is still selected, neither endpoint head is in
-// dirty (the head set whose neighborhoods the repair invalidated), and
-// every edge of the path still exists in g — so after events touching a
-// few heads, only links incident to those heads (or with severed paths)
-// pay for a fresh shortest-path computation, the §3.3 locality argument.
+// RunSelectedFrom is a scalar, serial RunSelectedPar for incremental
+// repair: it re-runs gateway selection after a local topology change,
+// reusing from prev the gateway paths of virtual links the change did
+// not touch. A cached path is kept when the link is still selected,
+// neither endpoint head is in dirty (the head set whose neighborhoods
+// the repair invalidated), and every edge of the path still exists in g
+// — so after events touching a few heads, only links incident to those
+// heads (or with severed paths) pay for a fresh shortest-path
+// computation, the §3.3 locality argument.
 //
 // Reused paths were shortest when first computed; a later Join can
 // introduce a shorter alternative that only a full re-run would find.
@@ -207,9 +203,8 @@ func runSelected(ctx context.Context, g *graph.Graph, fg *graph.FlatGraph, c *cl
 }
 
 // shortestPaths computes the deterministic shortest path of every pair,
-// sharded across pool's workers (serial with a nil pool or one worker,
-// preserving the original per-pair cancellation points). Each shard
-// writes only its own slots of the result, so the path set cannot
+// sharded across pool's workers with a cancellation point per pair. Each
+// shard writes only its own slots of the result, so the path set cannot
 // depend on scheduling; cached paths short-circuit exactly as serially.
 //
 // With a CSR snapshot (fg non-nil) the pairs are grouped by source
@@ -221,16 +216,7 @@ func shortestPaths(ctx context.Context, g *graph.Graph, fg *graph.FlatGraph, pai
 	if fg != nil {
 		return out, groupedPaths(ctx, fg, pairs, out, s, cache, pool)
 	}
-	if pool.Workers() <= 1 {
-		for i, pair := range pairs {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			out[i] = cachedPath(g, s, cache, pair[0], pair[1])
-		}
-		return out, nil
-	}
-	err := pool.Shard(ctx, len(pairs), func(_ int, bs *graph.Scratch, r partition.Range) error {
+	err := pool.Shard(ctx, s, len(pairs), func(_ int, bs *graph.Scratch, r partition.Range) error {
 		for i := r.Start; i < r.End; i++ {
 			if err := ctx.Err(); err != nil {
 				return err
@@ -265,45 +251,27 @@ func groupedPaths(ctx context.Context, fg *graph.FlatGraph, pairs [][2]int, out 
 		groups = append(groups, [2]int{lo, hi})
 		lo = hi
 	}
-	doGroup := func(bs *graph.Scratch, gr [2]int) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		src := pairs[order[gr[0]]][0]
-		var dsts, slots []int
-		for _, i := range order[gr[0]:gr[1]] {
-			if p, ok := cache[canon(pairs[i][0], pairs[i][1])]; ok {
-				out[i] = p
+	return pool.Shard(ctx, s, len(groups), func(_ int, bs *graph.Scratch, r partition.Range) error {
+		var dsts, slots []int // reused across this shard's groups
+		for _, gr := range groups[r.Start:r.End] {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			dsts, slots = dsts[:0], slots[:0]
+			for _, i := range order[gr[0]:gr[1]] {
+				if p, ok := cache[canon(pairs[i][0], pairs[i][1])]; ok {
+					out[i] = p
+					continue
+				}
+				dsts = append(dsts, pairs[i][1])
+				slots = append(slots, i)
+			}
+			if len(dsts) == 0 {
 				continue
 			}
-			dsts = append(dsts, pairs[i][1])
-			slots = append(slots, i)
-		}
-		if len(dsts) == 0 {
-			return nil
-		}
-		paths := fg.ShortestPathsFrom(bs, src, dsts)
-		for j, i := range slots {
-			out[i] = paths[j]
-		}
-		return nil
-	}
-	if pool.Workers() <= 1 {
-		bs := s
-		if bs == nil {
-			bs = graph.NewScratch()
-		}
-		for _, gr := range groups {
-			if err := doGroup(bs, gr); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return pool.Shard(ctx, len(groups), func(_ int, bs *graph.Scratch, r partition.Range) error {
-		for gi := r.Start; gi < r.End; gi++ {
-			if err := doGroup(bs, groups[gi]); err != nil {
-				return err
+			paths := fg.ShortestPathsFrom(bs, pairs[order[gr[0]]][0], dsts)
+			for j, i := range slots {
+				out[i] = paths[j]
 			}
 		}
 		return nil
@@ -407,34 +375,24 @@ func lmstCtx(ctx context.Context, g *graph.Graph, fg *graph.FlatGraph, c *cluste
 	// decisions shard across the pool, each shard writing its own slots.
 	verts := vg.Vertices()
 	onTreeOf := make([][]int, len(verts))
-	localMST := func(u int) []int {
-		if incremental && !changed[u] {
-			return prev.kept[u]
-		}
-		local := append([]int{u}, vg.Neighbors(u)...)
-		sub := vg.Subgraph(local)
-		return sub.MSTRooted(u)
-	}
-	if pool.Workers() > 1 {
-		err := pool.Shard(ctx, len(verts), func(_ int, _ *graph.Scratch, r partition.Range) error {
-			for i := r.Start; i < r.End; i++ {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-				onTreeOf[i] = localMST(verts[i])
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		for i, u := range verts {
+	err = pool.Shard(ctx, s, len(verts), func(_ int, _ *graph.Scratch, r partition.Range) error {
+		var local []int // {u} ∪ N(u), reused across this shard's heads
+		for i := r.Start; i < r.End; i++ {
 			if err := ctx.Err(); err != nil {
-				return nil, err
+				return err
 			}
-			onTreeOf[i] = localMST(u)
+			u := verts[i]
+			if incremental && !changed[u] {
+				onTreeOf[i] = prev.kept[u]
+				continue
+			}
+			local = append(append(local[:0], u), vg.Neighbors(u)...)
+			onTreeOf[i] = vg.Subgraph(local).MSTRooted(u)
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	// keepVotes[link] counts how many endpoints kept the link (1 or 2).
@@ -578,25 +536,28 @@ func headDistRows(ctx context.Context, g *graph.Graph, fg *graph.FlatGraph, head
 			headIdx[h] = int32(i)
 		}
 	}
-	headDists := func(bs *graph.Scratch, i int) []graph.WEdge {
-		u := heads[i]
-		dist := g.BFSScratch(bs, u)
-		var row []graph.WEdge
-		for _, v := range heads[i+1:] {
-			if d := dist.Dist(v); d != graph.Unreachable {
-				row = append(row, graph.WEdge{U: u, V: v, Weight: d})
+	err := pool.Shard(ctx, s, len(heads), func(_ int, bs *graph.Scratch, r partition.Range) error {
+		if fg == nil {
+			for i := r.Start; i < r.End; i++ {
+				if err := ctx.Err(); err != nil {
+					return err
+				}
+				u := heads[i]
+				dist := g.BFSScratch(bs, u)
+				for _, v := range heads[i+1:] {
+					if d := dist.Dist(v); d != graph.Unreachable {
+						dists[i] = append(dists[i], graph.WEdge{U: u, V: v, Weight: d})
+					}
+				}
 			}
+			return nil
 		}
-		return row
-	}
-	headDistsBatch := func(bs *graph.Scratch, lo, hi int) error {
 		var block [64]int
-		for base := lo; base < hi; base += 64 {
+		for base := r.Start; base < r.End; base += 64 {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			end := min(base+64, hi)
-			idxs := perm[base:end]
+			idxs := perm[base:min(base+64, r.End)]
 			for i, pi := range idxs {
 				block[i] = heads[pi]
 			}
@@ -613,43 +574,14 @@ func headDistRows(ctx context.Context, g *graph.Graph, fg *graph.FlatGraph, head
 				return true
 			})
 		}
-		for _, pi := range perm[lo:hi] {
+		for _, pi := range perm[r.Start:r.End] {
 			row := dists[pi]
 			sort.Slice(row, func(a, b int) bool { return row[a].V < row[b].V })
 		}
 		return nil
-	}
-	if pool.Workers() > 1 {
-		err := pool.Shard(ctx, len(heads), func(_ int, bs *graph.Scratch, r partition.Range) error {
-			if fg != nil {
-				return headDistsBatch(bs, r.Start, r.End)
-			}
-			for i := r.Start; i < r.End; i++ {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-				dists[i] = headDists(bs, i)
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	} else if fg != nil {
-		bs := s
-		if bs == nil {
-			bs = graph.NewScratch()
-		}
-		if err := headDistsBatch(bs, 0, len(heads)); err != nil {
-			return nil, err
-		}
-	} else {
-		for i := range heads {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			dists[i] = headDists(s, i)
-		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	return dists, nil
 }

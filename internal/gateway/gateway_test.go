@@ -340,11 +340,11 @@ func TestWuLouSelectionConnects(t *testing.T) {
 func TestRunSelectedFromMatchesFullRun(t *testing.T) {
 	for _, algo := range Algorithms {
 		g, c := testInstance(t, 90, 7, 2, 211)
-		sel, err := ncr.SelectCtx(context.Background(), g, c, ruleOf(algo), nil)
+		sel, err := ncr.SelectPar(context.Background(), g, nil, c, algo.Rule(), nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		full, err := RunSelectedCtx(context.Background(), g, c, sel, algo, nil)
+		full, err := RunSelectedPar(context.Background(), g, nil, c, sel, algo, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -359,15 +359,6 @@ func TestRunSelectedFromMatchesFullRun(t *testing.T) {
 	}
 }
 
-func ruleOf(algo Algorithm) ncr.Rule {
-	switch algo {
-	case ACMesh, ACLMST:
-		return ncr.RuleANCR
-	default:
-		return ncr.RuleNC
-	}
-}
-
 // TestRunSelectedFromAfterRemoval: sever a gateway's edges, reselect,
 // and re-run incrementally. Links whose paths broke (or touch dirty
 // heads) are recomputed; the repaired structure passes the same
@@ -376,8 +367,8 @@ func ruleOf(algo Algorithm) ncr.Rule {
 func TestRunSelectedFromAfterRemoval(t *testing.T) {
 	for _, algo := range []Algorithm{ACLMST, NCLMST, ACMesh} {
 		g, c := testInstance(t, 90, 7, 2, 223)
-		sel := ncr.Select(g, c, ruleOf(algo))
-		before, err := RunSelectedCtx(context.Background(), g, c, sel, algo, nil)
+		sel := ncr.Select(g, c, algo.Rule())
+		before, err := RunSelectedPar(context.Background(), g, nil, c, sel, algo, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

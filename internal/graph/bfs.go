@@ -55,20 +55,6 @@ func (g *Graph) BFSWithin(src, maxHops int) map[int]int {
 	return dist
 }
 
-// KHopNeighbors returns the sorted vertices at distance 1..k from src
-// (src excluded).
-func (g *Graph) KHopNeighbors(src, k int) []int {
-	ball := g.BFSWithin(src, k)
-	out := make([]int, 0, len(ball)-1)
-	for v := range ball {
-		if v != src {
-			out = append(out, v)
-		}
-	}
-	sortInts(out)
-	return out
-}
-
 // HopDist returns the hop distance between u and v, or Unreachable.
 func (g *Graph) HopDist(u, v int) int {
 	return g.BFS(u)[v]

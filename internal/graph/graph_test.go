@@ -294,16 +294,6 @@ func TestBFSWithinMatchesBFS(t *testing.T) {
 	}
 }
 
-func TestKHopNeighbors(t *testing.T) {
-	g := pathGraph(7)
-	if got := g.KHopNeighbors(3, 2); !reflect.DeepEqual(got, []int{1, 2, 4, 5}) {
-		t.Fatalf("KHopNeighbors=%v", got)
-	}
-	if got := g.KHopNeighbors(0, 0); len(got) != 0 {
-		t.Fatalf("k=0 neighbors=%v", got)
-	}
-}
-
 func TestHopDist(t *testing.T) {
 	g := cycleGraph(8)
 	if d := g.HopDist(0, 4); d != 4 {

@@ -39,29 +39,24 @@ import (
 // are not k-hop independent — callers comparing against the lowest-ID
 // clustering must not assert independence.
 func Run(g *graph.Graph, d int) *cluster.Clustering {
-	c, err := RunCtx(context.Background(), g, d, nil)
+	c, err := RunPar(context.Background(), g, nil, d, nil, nil)
 	if err != nil {
 		panic(err.Error()) // Background context cannot be cancelled
 	}
 	return c
 }
 
-// RunCtx is Run with cancellation between flood rounds and reusable BFS
-// buffers (nil is valid) for the final distance-to-head pass.
-func RunCtx(ctx context.Context, g *graph.Graph, d int, s *graph.Scratch) (*cluster.Clustering, error) {
-	return RunPar(ctx, g, nil, d, s, nil)
-}
-
-// RunPar is RunCtx with each synchronous flood round (and the final
-// election and distance passes) sharded across pool's workers. A flood
-// round reads the previous round's winners and writes each node's slot
-// exclusively — the synchronous-round structure *is* the partition — so
-// the clustering is identical to a serial run for any worker count. A
-// nil pool (or one worker) is the serial path. A non-nil fg (the CSR
-// snapshot of g) moves the flood rounds onto the flat arrays and the
-// final distance pass onto multi-source batched BFS (64 heads per
-// frontier sweep, depth d); both are bitwise identical to the scalar
-// passes.
+// RunPar is Run with cancellation between flood rounds, reusable BFS
+// buffers s (nil is valid) for the final distance-to-head pass, and each
+// synchronous flood round (and the final election and distance passes)
+// sharded across pool's workers. A flood round reads the previous
+// round's winners and writes each node's slot exclusively — the
+// synchronous-round structure *is* the partition — so the clustering is
+// identical to a serial run for any worker count. A nil pool (or one
+// worker) is the serial path. A non-nil fg (the CSR snapshot of g)
+// moves the flood rounds onto the flat arrays and the final distance
+// pass onto multi-source batched BFS (64 heads per frontier sweep,
+// depth d); both are bitwise identical to the scalar passes.
 func RunPar(ctx context.Context, g *graph.Graph, fg *graph.FlatGraph, d int, s *graph.Scratch, pool *partition.Pool) (*cluster.Clustering, error) {
 	if d < 1 {
 		panic(fmt.Sprintf("maxmin: d must be ≥ 1, got %d", d))
@@ -78,8 +73,8 @@ func RunPar(ctx context.Context, g *graph.Graph, fg *graph.FlatGraph, d int, s *
 	// only by v's shard, winner is frozen for the round.
 	flood := func(log [][]int, better func(a, b int) bool) error {
 		next := make([]int, n)
-		round := func(lo, hi int) {
-			for v := lo; v < hi; v++ {
+		err := pool.Shard(ctx, s, n, func(_ int, _ *graph.Scratch, r partition.Range) error {
+			for v := r.Start; v < r.End; v++ {
 				best := winner[v]
 				if fg != nil {
 					for _, u := range fg.Neighbors(v) {
@@ -97,17 +92,10 @@ func RunPar(ctx context.Context, g *graph.Graph, fg *graph.FlatGraph, d int, s *
 				next[v] = best
 				log[v] = append(log[v], best)
 			}
-		}
-		if pool.Workers() > 1 {
-			err := pool.Shard(ctx, n, func(_ int, _ *graph.Scratch, r partition.Range) error {
-				round(r.Start, r.End)
-				return nil
-			})
-			if err != nil {
-				return err
-			}
-		} else {
-			round(0, n)
+			return nil
+		})
+		if err != nil {
+			return err
 		}
 		winner = next
 		return nil
@@ -134,21 +122,14 @@ func RunPar(ctx context.Context, g *graph.Graph, fg *graph.FlatGraph, d int, s *
 	}
 
 	head := make([]int, n)
-	electRange := func(lo, hi int) {
-		for v := lo; v < hi; v++ {
+	err := pool.Shard(ctx, s, n, func(_ int, _ *graph.Scratch, r partition.Range) error {
+		for v := r.Start; v < r.End; v++ {
 			head[v] = elect(v, maxLog[v], minLog[v])
 		}
-	}
-	if pool.Workers() > 1 {
-		err := pool.Shard(ctx, n, func(_ int, _ *graph.Scratch, r partition.Range) error {
-			electRange(r.Start, r.End)
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		electRange(0, n)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	// Consistency pass: every node selected by someone must head itself
@@ -174,25 +155,31 @@ func RunPar(ctx context.Context, g *graph.Graph, fg *graph.FlatGraph, d int, s *
 	// IDs d hops), so the batched pass's depth-d sweeps reach exactly the
 	// vertices the scalar whole-graph BFS would assign.
 	distToHead := make([]int, n)
-	headDist := func(bs *graph.Scratch, h int) {
-		dist := g.BFSScratch(bs, h)
-		for v := 0; v < n; v++ {
-			if head[v] == h {
-				distToHead[v] = dist.Dist(v)
-			}
-		}
-	}
 	var headPerm []int // graph-locality 64-blocking of the head list
 	if fg != nil {
 		headPerm = fg.BlockOrder(heads, d)
 	}
-	headDistRange := func(bs *graph.Scratch, lo, hi int) error {
+	err = pool.Shard(ctx, s, len(heads), func(_ int, bs *graph.Scratch, r partition.Range) error {
+		if fg == nil {
+			for _, h := range heads[r.Start:r.End] {
+				if err := ctx.Err(); err != nil {
+					return err
+				}
+				dist := g.BFSScratch(bs, h)
+				for v := 0; v < n; v++ {
+					if head[v] == h {
+						distToHead[v] = dist.Dist(v)
+					}
+				}
+			}
+			return nil
+		}
 		var block [64]int
-		for base := lo; base < hi; base += 64 {
+		for base := r.Start; base < r.End; base += 64 {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			idxs := headPerm[base:min(base+64, hi)]
+			idxs := headPerm[base:min(base+64, r.End)]
 			for i, pi := range idxs {
 				block[i] = heads[pi]
 			}
@@ -206,38 +193,9 @@ func RunPar(ctx context.Context, g *graph.Graph, fg *graph.FlatGraph, d int, s *
 			})
 		}
 		return nil
-	}
-	if pool.Workers() > 1 {
-		err := pool.Shard(ctx, len(heads), func(_ int, bs *graph.Scratch, r partition.Range) error {
-			if fg != nil {
-				return headDistRange(bs, r.Start, r.End)
-			}
-			for i := r.Start; i < r.End; i++ {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-				headDist(bs, heads[i])
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	} else if fg != nil {
-		bs := s
-		if bs == nil {
-			bs = graph.NewScratch()
-		}
-		if err := headDistRange(bs, 0, len(heads)); err != nil {
-			return nil, err
-		}
-	} else {
-		for _, h := range heads {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			headDist(s, h)
-		}
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	return &cluster.Clustering{

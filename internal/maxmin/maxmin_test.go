@@ -9,6 +9,7 @@ import (
 	"repro/internal/cds"
 	"repro/internal/gateway"
 	"repro/internal/graph"
+	"repro/internal/partition"
 	"repro/internal/udg"
 )
 
@@ -171,7 +172,8 @@ func TestHeadCountPlausible(t *testing.T) {
 }
 
 // TestRunParScalarMatchesBatched pins Max-Min's batched floods (a CSR
-// snapshot) to the scalar per-source walks a nil FlatGraph selects.
+// snapshot) to the scalar per-source walks a nil FlatGraph selects,
+// serially and with both loop bodies inside a 3-shard Pool.Shard.
 func TestRunParScalarMatchesBatched(t *testing.T) {
 	ctx := context.Background()
 	for _, seed := range []int64{3, 7, 19, 42} {
@@ -181,12 +183,16 @@ func TestRunParScalarMatchesBatched(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			batched, err := RunPar(ctx, g, graph.Flatten(g), d, graph.NewScratch(), nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(scalar, batched) {
-				t.Fatalf("seed=%d d=%d: batched clustering differs from scalar", seed, d)
+			for _, pool := range []*partition.Pool{nil, partition.NewPool(3)} {
+				for _, fg := range []*graph.FlatGraph{nil, graph.Flatten(g)} {
+					got, err := RunPar(ctx, g, fg, d, graph.NewScratch(), pool)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(scalar, got) {
+						t.Fatalf("seed=%d d=%d workers=%d batched=%v: clustering differs from the serial scalar run", seed, d, pool.Workers(), fg != nil)
+					}
+				}
 			}
 		}
 	}

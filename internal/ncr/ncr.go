@@ -87,32 +87,28 @@ func (s *Selection) NumPairs() int {
 
 // Select runs the given rule.
 func Select(g *graph.Graph, c *cluster.Clustering, rule Rule) *Selection {
-	sel, err := SelectCtx(context.Background(), g, c, rule, nil)
+	sel, err := SelectPar(context.Background(), g, nil, c, rule, nil, nil)
 	if err != nil {
 		panic(err.Error()) // Background context cannot be cancelled
 	}
 	return sel
 }
 
-// SelectCtx runs the given rule, honoring cancellation between per-head
-// neighborhood walks and reusing s's BFS buffers (nil is valid).
-func SelectCtx(ctx context.Context, g *graph.Graph, c *cluster.Clustering, rule Rule, s *graph.Scratch) (*Selection, error) {
-	return SelectPar(ctx, g, nil, c, rule, s, nil)
-}
-
-// SelectPar is SelectCtx with the per-head neighborhood walks (NC) or
-// the edge scan (A-NCR) sharded across pool's workers; the selection is
-// identical to a serial run for any worker count. A nil pool (or one
-// worker) is the serial path. A non-nil fg (the CSR snapshot of g)
-// switches NC to multi-source batched BFS — one frontier sweep per
-// 64-head block instead of one ball walk per head — and A-NCR's edge
-// scan to the flat arrays; both produce the identical selection.
+// SelectPar runs the given rule, honoring cancellation between per-head
+// neighborhood walks and reusing s's BFS buffers (nil is valid). The
+// per-head walks (NC) or the edge scan (A-NCR) shard across pool's
+// workers; the selection is identical to a serial run for any worker
+// count. A nil pool (or one worker) is the serial path. A non-nil fg
+// (the CSR snapshot of g) switches NC to multi-source batched BFS — one
+// frontier sweep per 64-head block instead of one ball walk per head —
+// and A-NCR's edge scan to the flat arrays; both produce the identical
+// selection.
 func SelectPar(ctx context.Context, g *graph.Graph, fg *graph.FlatGraph, c *cluster.Clustering, rule Rule, s *graph.Scratch, pool *partition.Pool) (*Selection, error) {
 	switch rule {
 	case RuleNC:
 		return ncCtx(ctx, g, fg, c, s, pool)
 	case RuleANCR:
-		return ancrCtx(ctx, g, fg, c, pool)
+		return ancrCtx(ctx, g, fg, c, s, pool)
 	case RuleWuLou:
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -145,91 +141,57 @@ func ncCtx(ctx context.Context, g *graph.Graph, fg *graph.FlatGraph, c *cluster.
 	if fg != nil {
 		perm = fg.BlockOrder(c.Heads, radius)
 	}
-	ncBatch := func(ms *graph.MSScratch, idxs []int, block []int, nbsOf [][]int) {
-		fg.MSBFS(ms, block, radius, func(v, _ int, mask uint64) bool {
-			if !c.IsHead(v) {
-				return true
-			}
-			graph.EachBit(mask, func(i int) {
-				if block[i] != v {
-					nbsOf[idxs[i]] = append(nbsOf[idxs[i]], v)
-				}
-			})
-			return true
-		})
-		for _, pi := range idxs {
-			sort.Ints(nbsOf[pi])
-		}
-	}
-	ncRange := func(bs *graph.Scratch, lo, hi int, nbsOf [][]int) error {
-		var block [64]int
-		for base := lo; base < hi; base += 64 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			end := min(base+64, hi)
-			idxs := perm[base:end]
-			for i, pi := range idxs {
-				block[i] = c.Heads[pi]
-			}
-			ncBatch(bs.MS(), idxs, block[:len(idxs)], nbsOf)
-		}
-		return nil
-	}
-	ncHead := func(bs *graph.Scratch, h int) []int {
-		var nbs []int
-		g.EachWithin(bs, h, radius, func(v, _ int) bool {
-			if v != h && c.IsHead(v) {
-				nbs = append(nbs, v)
-			}
-			return true
-		})
-		sort.Ints(nbs)
-		return nbs
-	}
-	if pool.Workers() > 1 {
-		// Each head's 2k+1-hop walk is independent and read-only; shard
-		// the head list, each shard writing its own slots of nbsOf.
-		nbsOf := make([][]int, len(c.Heads))
-		err := pool.Shard(ctx, len(c.Heads), func(_ int, bs *graph.Scratch, r partition.Range) error {
-			if fg != nil {
-				return ncRange(bs, r.Start, r.End, nbsOf)
-			}
+	// Each head's 2k+1-hop walk is independent and read-only; shard the
+	// head list, each shard writing its own slots of nbsOf.
+	nbsOf := make([][]int, len(c.Heads))
+	err := pool.Shard(ctx, s, len(c.Heads), func(_ int, bs *graph.Scratch, r partition.Range) error {
+		if fg == nil {
 			for i := r.Start; i < r.End; i++ {
 				if err := ctx.Err(); err != nil {
 					return err
 				}
-				nbsOf[i] = ncHead(bs, c.Heads[i])
+				h := c.Heads[i]
+				g.EachWithin(bs, h, radius, func(v, _ int) bool {
+					if v != h && c.IsHead(v) {
+						nbsOf[i] = append(nbsOf[i], v)
+					}
+					return true
+				})
+				sort.Ints(nbsOf[i])
 			}
 			return nil
-		})
-		if err != nil {
-			return nil, err
 		}
-		for i, h := range c.Heads {
-			sel.Neighbors[h] = nbsOf[i]
+		var block [64]int
+		for base := r.Start; base < r.End; base += 64 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			idxs := perm[base:min(base+64, r.End)]
+			for i, pi := range idxs {
+				block[i] = c.Heads[pi]
+			}
+			fg.MSBFS(bs.MS(), block[:len(idxs)], radius, func(v, _ int, mask uint64) bool {
+				if !c.IsHead(v) {
+					return true
+				}
+				graph.EachBit(mask, func(i int) {
+					if block[i] != v {
+						nbsOf[idxs[i]] = append(nbsOf[idxs[i]], v)
+					}
+				})
+				return true
+			})
+			for _, pi := range idxs {
+				sort.Ints(nbsOf[pi])
+			}
 		}
-		return sel, nil
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	if fg != nil {
-		bs := s
-		if bs == nil {
-			bs = graph.NewScratch()
-		}
-		nbsOf := make([][]int, len(c.Heads))
-		if err := ncRange(bs, 0, len(c.Heads), nbsOf); err != nil {
-			return nil, err
-		}
-		for i, h := range c.Heads {
-			sel.Neighbors[h] = nbsOf[i]
-		}
-		return sel, nil
-	}
-	for _, h := range c.Heads {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		sel.Neighbors[h] = ncHead(s, h)
+	for i, h := range c.Heads {
+		sel.Neighbors[h] = nbsOf[i]
 	}
 	return sel, nil
 }
@@ -241,13 +203,26 @@ func ncCtx(ctx context.Context, g *graph.Graph, fg *graph.FlatGraph, c *cluster.
 // distributed rule works too — border members detect foreign neighbors
 // and report the foreign head to their own head.
 func ANCR(g *graph.Graph, c *cluster.Clustering) *Selection {
-	sel, _ := ancrCtx(context.Background(), g, nil, c, nil)
+	sel, _ := ancrCtx(context.Background(), g, nil, c, nil, nil)
 	return sel
 }
 
-func ancrCtx(ctx context.Context, g *graph.Graph, fg *graph.FlatGraph, c *cluster.Clustering, pool *partition.Pool) (*Selection, error) {
+// ancrCtx scans G's edges sharded by node range. The adjacency relation
+// is a set, so each shard collects its range's head pairs into a set of
+// its own and the sets are unioned — order-free, so the merged set is
+// identical to the serial one. Shard 0 scans straight into adj, so a
+// one-shard (serial) run has nothing to union. The scratch s only
+// serves the inline run, which then allocates none of its own.
+func ancrCtx(ctx context.Context, g *graph.Graph, fg *graph.FlatGraph, c *cluster.Clustering, s *graph.Scratch, pool *partition.Pool) (*Selection, error) {
 	sel := &Selection{Rule: RuleANCR, K: c.K, Neighbors: make(map[int][]int, len(c.Heads))}
-	scanRange := func(adj map[[2]int]bool, lo, hi int) error {
+	adj := make(map[[2]int]bool)
+	rest := make([]map[[2]int]bool, pool.Workers()-1) // shards 1, 2, …
+	err := pool.Shard(ctx, s, g.N(), func(shard int, _ *graph.Scratch, r partition.Range) error {
+		set := adj
+		if shard > 0 {
+			set = make(map[[2]int]bool)
+			rest[shard-1] = set
+		}
 		record := func(u, v int) {
 			if u > v {
 				return // visit each undirected edge once
@@ -256,13 +231,9 @@ func ancrCtx(ctx context.Context, g *graph.Graph, fg *graph.FlatGraph, c *cluste
 			if hu == hv {
 				return
 			}
-			a, b := hu, hv
-			if a > b {
-				a, b = b, a
-			}
-			adj[[2]int{a, b}] = true
+			set[[2]int{min(hu, hv), max(hu, hv)}] = true
 		}
-		for u := lo; u < hi; u++ {
+		for u := r.Start; u < r.End; u++ {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
@@ -277,27 +248,14 @@ func ancrCtx(ctx context.Context, g *graph.Graph, fg *graph.FlatGraph, c *cluste
 			}
 		}
 		return nil
-	}
-	adj := make(map[[2]int]bool)
-	if pool.Workers() > 1 {
-		// The adjacency relation is a set: shard the edge scan by node
-		// range into per-shard sets and union them — order-free, so the
-		// merged set is identical to the serial one.
-		parts := make([]map[[2]int]bool, pool.Workers())
-		err := pool.Shard(ctx, g.N(), func(shard int, _ *graph.Scratch, r partition.Range) error {
-			parts[shard] = make(map[[2]int]bool)
-			return scanRange(parts[shard], r.Start, r.End)
-		})
-		if err != nil {
-			return nil, err
-		}
-		for _, part := range parts {
-			for pair := range part {
-				adj[pair] = true
-			}
-		}
-	} else if err := scanRange(adj, 0, g.N()); err != nil {
+	})
+	if err != nil {
 		return nil, err
+	}
+	for _, set := range rest {
+		for pair := range set {
+			adj[pair] = true
+		}
 	}
 	for _, h := range c.Heads {
 		sel.Neighbors[h] = nil

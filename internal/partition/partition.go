@@ -11,6 +11,12 @@
 // shard order, which is index order, which is the serial order. No
 // locks, no channels, no reordering: a shard owns its slice of the
 // output, so the merged result cannot depend on goroutine scheduling.
+//
+// Serial is not a separate code path: it is Shard's one-range run, the
+// whole index space as shard 0, inline on the caller's goroutine with
+// the caller's own scratch. A build phase therefore writes its loop body
+// once, and serial ≡ parallel holds by construction rather than by
+// keeping two copies of the loop in sync.
 package partition
 
 import (
@@ -105,21 +111,25 @@ func (p *Pool) Scratch(w int) *graph.Scratch {
 // the call. All shards are joined before Shard returns; the error of
 // the lowest-indexed failing shard is returned, so error reporting is
 // as deterministic as the results. fn is responsible for honoring ctx
-// per item (exactly like the serial loops it replaces).
+// per item.
 //
-// With a nil Pool, one worker, or at most one item, fn runs inline on
-// the caller's goroutine with the worker-0 scratch — the serial path.
-func (p *Pool) Shard(ctx context.Context, items int, fn func(shard int, s *graph.Scratch, r Range) error) error {
-	ranges := Ranges(items, p.Workers())
-	if len(ranges) == 0 {
+// With a nil Pool, one worker, or a single item, Shard is the serial
+// path: one range covering every item, run inline on the caller's
+// goroutine with s, the caller's own (typically warm) scratch, so a
+// serial build allocates no traversal buffers of its own. A nil s gets
+// a fresh scratch. A multi-shard run leaves s untouched and hands each
+// shard the pool's per-worker scratch instead.
+func (p *Pool) Shard(ctx context.Context, s *graph.Scratch, items int, fn func(shard int, s *graph.Scratch, r Range) error) error {
+	if items <= 0 {
 		return ctx.Err()
 	}
-	if p == nil {
-		return fn(0, graph.NewScratch(), Range{Start: 0, End: items})
+	if p.Workers() == 1 || items == 1 {
+		if s == nil {
+			s = graph.NewScratch()
+		}
+		return fn(0, s, Range{Start: 0, End: items})
 	}
-	if len(ranges) == 1 {
-		return fn(0, p.Scratch(0), ranges[0])
-	}
+	ranges := Ranges(items, p.Workers())
 	errs := make([]error, len(ranges))
 	done := make(chan struct{})
 	for i := range ranges {

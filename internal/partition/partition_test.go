@@ -4,9 +4,9 @@ import (
 	"context"
 	"errors"
 	"sync/atomic"
+	"testing"
 
 	"repro/internal/graph"
-	"testing"
 )
 
 func TestRangesCoverExactly(t *testing.T) {
@@ -42,7 +42,7 @@ func TestShardVisitsEveryItemOnce(t *testing.T) {
 		p := NewPool(workers)
 		const items = 100
 		var hits [items]int32
-		err := p.Shard(ctx, items, func(shard int, s *graph.Scratch, r Range) error {
+		err := p.Shard(ctx, nil, items, func(shard int, s *graph.Scratch, r Range) error {
 			if s == nil {
 				return errors.New("nil scratch")
 			}
@@ -65,7 +65,7 @@ func TestShardVisitsEveryItemOnce(t *testing.T) {
 func TestShardReturnsLowestShardError(t *testing.T) {
 	p := NewPool(4)
 	errLow, errHigh := errors.New("low"), errors.New("high")
-	err := p.Shard(context.Background(), 40, func(shard int, _ *graph.Scratch, _ Range) error {
+	err := p.Shard(context.Background(), nil, 40, func(shard int, _ *graph.Scratch, _ Range) error {
 		switch shard {
 		case 1:
 			return errLow
@@ -85,7 +85,7 @@ func TestNilPoolIsSerial(t *testing.T) {
 		t.Fatalf("nil pool workers=%d", p.Workers())
 	}
 	ran := false
-	err := p.Shard(context.Background(), 7, func(shard int, _ *graph.Scratch, r Range) error {
+	err := p.Shard(context.Background(), nil, 7, func(shard int, _ *graph.Scratch, r Range) error {
 		ran = true
 		if shard != 0 || r.Start != 0 || r.End != 7 {
 			t.Fatalf("nil pool shard=%d range=%+v", shard, r)
@@ -100,10 +100,68 @@ func TestNilPoolIsSerial(t *testing.T) {
 func TestShardEmptyHonorsContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := NewPool(4).Shard(ctx, 0, nil); err == nil {
+	if err := NewPool(4).Shard(ctx, nil, 0, nil); err == nil {
 		t.Fatal("cancelled empty shard returned nil")
 	}
-	if err := NewPool(4).Shard(context.Background(), 0, nil); err != nil {
+	if err := NewPool(4).Shard(context.Background(), nil, 0, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSerialShardUsesCallerScratch pins the serial path: a nil pool, a
+// one-worker pool, and a single-item run on a wide pool all run fn
+// inline as one range with the caller's own scratch, so a serial build
+// walks in its warm buffers; a nil scratch gets a fresh one. A
+// multi-shard run leaves the caller's scratch alone.
+func TestSerialShardUsesCallerScratch(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name  string
+		pool  *Pool
+		items int
+	}{
+		{"nil pool", nil, 7},
+		{"one worker", NewPool(1), 7},
+		{"one item", NewPool(4), 1},
+	} {
+		caller := graph.NewScratch()
+		calls := 0
+		err := tc.pool.Shard(ctx, caller, tc.items, func(shard int, s *graph.Scratch, r Range) error {
+			calls++
+			if shard != 0 || r != (Range{Start: 0, End: tc.items}) {
+				t.Errorf("%s: shard=%d range=%+v, want the one range [0,%d)", tc.name, shard, r, tc.items)
+			}
+			if s != caller {
+				t.Errorf("%s: fn got a scratch other than the caller's", tc.name)
+			}
+			return nil
+		})
+		if err != nil || calls != 1 {
+			t.Fatalf("%s: err=%v calls=%d, want one inline call", tc.name, err, calls)
+		}
+		var got *graph.Scratch
+		if err := tc.pool.Shard(ctx, nil, tc.items, func(_ int, s *graph.Scratch, _ Range) error {
+			got = s
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if got == nil {
+			t.Fatalf("%s: a nil caller scratch was not replaced by a fresh one", tc.name)
+		}
+	}
+
+	p, caller := NewPool(3), graph.NewScratch()
+	var used atomic.Bool
+	if err := p.Shard(ctx, caller, 30, func(_ int, s *graph.Scratch, _ Range) error {
+		if s == caller {
+			used.Store(true)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if used.Load() {
+		t.Fatal("a multi-shard run handed a shard the caller's scratch")
 	}
 }

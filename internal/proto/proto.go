@@ -35,20 +35,12 @@ type Options struct {
 // localized algorithms. G-MST is centralized by definition and has no
 // distributed counterpart.
 func AlgorithmOptions(k int, algo gateway.Algorithm) (Options, error) {
-	opt := Options{K: k}
 	switch algo {
-	case gateway.NCMesh:
-		opt.Rule, opt.UseLMST = ncr.RuleNC, false
-	case gateway.ACMesh:
-		opt.Rule, opt.UseLMST = ncr.RuleANCR, false
-	case gateway.NCLMST:
-		opt.Rule, opt.UseLMST = ncr.RuleNC, true
-	case gateway.ACLMST:
-		opt.Rule, opt.UseLMST = ncr.RuleANCR, true
+	case gateway.NCMesh, gateway.ACMesh, gateway.NCLMST, gateway.ACLMST:
+		return Options{K: k, Rule: algo.Rule(), UseLMST: algo == gateway.NCLMST || algo == gateway.ACLMST}, nil
 	default:
 		return Options{}, fmt.Errorf("proto: algorithm %v has no distributed implementation", algo)
 	}
-	return opt, nil
 }
 
 // PhaseStats records the protocol cost of one pipeline phase.
